@@ -23,7 +23,7 @@ def _load(spec: str):
 
 def _cmd_simulate(args) -> int:
     config = _load(args.scene)
-    records = driver.run(config, args.frames, args.out, serial=args.serial)
+    records = driver.run(config, args.frames, args.out)
     n_bad = sum(1 for d in records if not d.converged)
     print(f"{len(records)} steps -> {args.out} "
           f"({n_bad} step(s) hit the iteration cap)" if n_bad else
@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("scene", help="scene file path or preset:NAME")
     sim.add_argument("--frames", type=int, default=100)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--serial", action="store_true",
-                     help="force deterministic serial execution (always on)")
     sim.set_defaults(fn=_cmd_simulate)
 
     sweep = sub.add_parser("sweep-mu", help="mean sliding speed per friction value")

@@ -28,6 +28,7 @@ class DeformedPrimitive:
     vertices: np.ndarray  # (4, 3)
     body_id: int
     particle_id: int
+    static: bool = False  # belongs to a kinematic body
 
     @property
     def key(self):
@@ -52,10 +53,10 @@ class ContactPoint:
         return np.column_stack([self.t1, self.t2, self.normal])
 
 
-def build_primitives(pts, body_id: int) -> list:
-    """Deformed tets for every particle of one body."""
+def build_primitives(pts, body_id: int, static: bool = False) -> list:
+    """Deformed tets for every particle of one body (``static`` for a kinematic one)."""
     verts = pts.x[:, None, :] + np.einsum("nab,nkb->nka", pts.F, pts.offsets)
-    return [DeformedPrimitive(verts[i], body_id, i) for i in range(len(pts))]
+    return [DeformedPrimitive(verts[i], body_id, i, static) for i in range(len(pts))]
 
 
 def bounding_radius(prims) -> float:
@@ -72,8 +73,10 @@ def bounding_radius(prims) -> float:
 def broadphase(primitives, cell_size: float, margin: float = 0.0) -> list:
     """Cross-body candidate pairs from a uniform spatial hash of AABBs.
 
-    Pairs are ordered (lower body id first) and returned sorted by
-    (body_a, body_b, particle_a, particle_b); each pair appears once.
+    Pairs of two static primitives are skipped: neither side can move, so
+    no contact between them affects the step.  Pairs are ordered (lower
+    body id first) and returned sorted by (body_a, body_b, particle_a,
+    particle_b); each pair appears once.
     """
     cells = {}
     los, his = [], []
@@ -99,7 +102,7 @@ def broadphase(primitives, cell_size: float, margin: float = 0.0) -> list:
             pm = primitives[m]
             for n in members[pos + 1:]:
                 pn = primitives[n]
-                if pm.body_id == pn.body_id:
+                if pm.body_id == pn.body_id or (pm.static and pn.static):
                     continue
                 a, b = (m, n) if pm.key < pn.key else (n, m)
                 if (a, b) in seen:

@@ -30,6 +30,18 @@ class ContactJacobian:
     offsets: dict             # body_id -> (column offset, dof count)
     total_dofs: int
 
+    def stack(self, per_body: dict) -> np.ndarray:
+        """Stack per-body DOF vectors (body_id -> vector) in column-block order."""
+        out = np.zeros(self.total_dofs)
+        for body_id, (start, nd) in self.offsets.items():
+            out[start:start + nd] = per_body[body_id]
+        return out
+
+    def split(self, stacked: np.ndarray) -> dict:
+        """Inverse of ``stack``: body_id -> that body's slice of ``stacked``."""
+        return {body_id: stacked[start:start + nd]
+                for body_id, (start, nd) in self.offsets.items()}
+
 
 @dataclass
 class ContactProblem:

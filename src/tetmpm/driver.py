@@ -62,7 +62,9 @@ class Body:
     def primitives(self):
         if self.kinematic:
             if self._static_prims is None:
-                self._static_prims = collision.build_primitives(self.pts, self.body_id)
+                self._static_prims = collision.build_primitives(
+                    self.pts, self.body_id, static=True
+                )
             return self._static_prims
         return collision.build_primitives(self.pts, self.body_id)
 
@@ -134,30 +136,22 @@ def step(state: SimState) -> StepDiagnostics:
             prims.extend(body.primitives())
         cell = 2.0 * collision.bounding_radius(prims)
         contacts = collision.detect_contacts(prims, max(cell, cfg.contact_margin), cfg.contact_margin)
-        kin = {b.body_id for b in state.bodies if b.kinematic}
-        contacts = [
-            c for c in contacts
-            if not (c.prim_a.body_id in kin and c.prim_b.body_id in kin)
-        ]
 
-        order = sorted(grids)
-        stacked_free = (
-            np.concatenate([v_free[b] for b in order]) if order else np.zeros(0)
-        )
         if contacts:
             jac = contact.build_jacobian(contacts, grids, cfg.kernel)
             mu = np.array([cfg.mu(c.prim_a.body_id, c.prim_b.body_id) for c in contacts])
+            stacked_free = jac.stack(v_free)
             problem = contact.build_delassus(jac, systems, stacked_free, mu)
             result = solver.solve(problem, tol=cfg.admm_tol, max_iters=cfg.admm_max_iters)
             dv = contact.apply_impulses(jac, systems, result.impulses.ravel())
-            stacked_new = stacked_free + dv
+            v_new = jac.split(stacked_free + dv)
         else:
+            mu = None
             result = None
-            stacked_new = stacked_free
+            v_new = v_free
 
         for body in dyn:
-            start, nd = _block(order, grids, body.body_id)
-            body.grid.set_active_velocity(stacked_new[start:start + nd])
+            body.grid.set_active_velocity(v_new[body.body_id])
             transfers.g2p(body.grid, body.pts, cfg.kernel, cfg.transfer, dt, stens[body.body_id])
             Fe, Fp = plastic_project_batch(body.pts.F_elastic, body.material, body.pts.F_plastic)
             body.pts.F_elastic, body.pts.F_plastic = Fe, Fp
@@ -186,23 +180,12 @@ def step(state: SimState) -> StepDiagnostics:
         kinetic_energy=_kinetic_energy(state),
         com_velocity={b.body_id: _com_velocity(b) for b in dyn},
         converged=result.converged if result else True,
-        contact_mu=(np.array([cfg.mu(c.prim_a.body_id, c.prim_b.body_id) for c in contacts])
-                    if contacts else None),
+        contact_mu=mu,
         contact_impulses=result.impulses if result else None,
         contact_sigma=result.sigma if result else None,
         contact_gaps=gaps if len(gaps) else None,
         contact_scale=result.scale if result else None,
     )
-
-
-def _block(order, grids, body_id):
-    start = 0
-    for b in order:
-        nd = 3 * grids[b].active_count
-        if b == body_id:
-            return start, nd
-        start += nd
-    raise KeyError(body_id)
 
 
 def write_snapshot(state: SimState, path: str):
@@ -222,15 +205,13 @@ def write_snapshot(state: SimState, path: str):
                 ])
 
 
-def run(scene, frames: int, out_dir: str, serial: bool = False) -> list:
+def run(scene, frames: int, out_dir: str) -> list:
     """Run a scene for ``frames`` steps, writing snapshots and diagnostics.
 
     ``scene`` is a SceneConfig or a scene-file path.  The implementation is
-    single-threaded and deterministic; ``serial`` is accepted for
-    compatibility and changes nothing.  With frames == 0 only the initial
+    single-threaded and deterministic.  With frames == 0 only the initial
     snapshot is written.
     """
-    del serial
     config = parse_scene(scene) if isinstance(scene, str) else scene
     state = SimState(config)
     os.makedirs(out_dir, exist_ok=True)

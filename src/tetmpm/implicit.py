@@ -10,6 +10,13 @@ from contracting each particle's stress tangent with its kernel gradients
 through the deformation-gradient update.  A is symmetrized and factorized
 once; the factorization doubles as the admittance operator that contact
 resolution reuses.
+
+K is assembled the same way for every system size.  On one grid every
+kernel stencil has the same pattern of flat node-index offsets, so a
+particle's 3x3 block for stencil nodes (s, t) belongs to row node s and one
+of a fixed set of B band offsets (125 for the quadratic kernel, 27 for the
+linear one).  The blocks are summed into (row node, band) slots, which
+takes O(N B) memory for N active nodes instead of a dense O(ndof^2) buffer.
 """
 
 import logging
@@ -26,7 +33,6 @@ logger = logging.getLogger(__name__)
 
 SHIFT_START = 1e-10
 SHIFT_ATTEMPTS = 8
-DENSE_DOF_LIMIT = 3000  # below this, sum K's triplets through a dense buffer
 
 
 @dataclass
@@ -68,58 +74,61 @@ def _particle_blocks(pts, grid, tangent, sten, lo, hi):
     return blk.reshape(m, S, 3, 3, S).transpose(0, 1, 2, 4, 3)
 
 
-def _stiffness_dense(pts, grid, tangent, sten, chunk=512):
-    """K over active DOFs, summed through a dense buffer.
+def _slot_sums(pts, grid, tangent, sten, row, band, n_rows, B, chunk):
+    """Sum every particle's 3x3 blocks into flat slots (row, band, c, a).
 
-    Inactive stencil nodes are routed to one trash row/column that is
-    sliced away at the end.
+    ``row`` (n, S) holds each stencil node's row (the trash row for
+    inactive nodes) and ``band`` (S, S) the band of each stencil pair.
+    """
+    n = len(row)
+    size = n_rows * B * 9
+    ca = np.arange(9, dtype=np.int64).reshape(3, 3)               # 3 c + a
+    acc = np.zeros(size)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        # axes (p, s, c, a, t): the blocks' memory order, so ravel copies nothing
+        blk = _particle_blocks(pts, grid, tangent, sten, lo, hi).transpose(0, 1, 2, 4, 3)
+        slot = 9 * (row[lo:hi, :, None] * B + band[None])         # (m, S, S)
+        key = slot[:, :, None, None, :] + ca[None, None, :, :, None]
+        acc += np.bincount(key.ravel(), weights=blk.ravel(), minlength=size)
+    return acc
+
+
+def _stiffness(pts, grid, tangent, sten, chunk=512):
+    """K over active DOFs as a CSC matrix, summed into block-band slots.
+
+    ``offs`` holds the B distinct flat offsets idx[p, t] - idx[p, s], the
+    same for every particle; slot (r, b) holds the 3x3 block coupling active
+    node r to flat node active_nodes[r] + offs[b].  A slot stands for one
+    node pair and gets at most one term per particle, so it sums the same
+    terms as a dense buffer would.  Inactive row nodes go to a trash row;
+    slots whose column node is inactive or off the grid, and exact zeros,
+    are dropped.
     """
     idx, _, _ = sten
     n, S = idx.shape
     N = grid.active_count
-    side = 3 * N + 3
-    acc = np.zeros(side * side)
+    if n == 0 or N == 0:
+        return sp.csc_matrix((3 * N, 3 * N))
+    offs, band = np.unique(idx[0][None, :] - idx[0][:, None], return_inverse=True)
+    band = band.reshape(S, S)
+    B = len(offs)
     dmap = grid.active_map[idx]
-    d2 = np.where(dmap < 0, N, dmap).astype(np.int64)
-    comp = np.arange(3, dtype=np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        blk = _particle_blocks(pts, grid, tangent, sten, lo, hi)
-        rows = 3 * d2[lo:hi, :, None, None, None] + comp[None, None, :, None, None]
-        cols = 3 * d2[lo:hi, None, None, :, None] + comp[None, None, None, None, :]
-        key = rows * side + cols                        # (m, S, 3, S, 3)
-        acc += np.bincount(key.ravel(), weights=blk.ravel(), minlength=side * side)
-    return acc.reshape(side, side)[:3 * N, :3 * N]
+    row = np.where(dmap < 0, N, dmap)
+    # The chunk temporaries are freed when the helper returns, before K is
+    # built; a long-lived K allocated above them would pin them in the heap.
+    acc = _slot_sums(pts, grid, tangent, sten, row, band, N + 1, B, chunk)
 
-
-def _stiffness_triplets(pts, grid, tangent, sten, chunk=256):
-    """COO triplets of K over active DOFs (fallback for large systems).
-
-    Entries touching inactive nodes are dropped.
-    """
-    idx, _, _ = sten
-    n, S = idx.shape
-    dense = grid.active_map[idx]  # (n, S)
-    rows_out, cols_out, vals_out = [], [], []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        blk = _particle_blocks(pts, grid, tangent, sten, lo, hi)
-        d = dense[lo:hi]                                # (m, S)
-        m = hi - lo
-        rows = (3 * d[:, :, None, None, None] + np.arange(3)[None, None, :, None, None])
-        rows = np.broadcast_to(rows, (m, S, 3, S, 3))
-        cols = (3 * d[:, None, None, :, None] + np.arange(3)[None, None, None, None, :])
-        cols = np.broadcast_to(cols, (m, S, 3, S, 3))
-        keep = (d[:, :, None, None, None] >= 0) & (d[:, None, None, :, None] >= 0)
-        keep = np.broadcast_to(keep, (m, S, 3, S, 3))
-        rows_out.append(rows[keep])
-        cols_out.append(cols[keep])
-        vals_out.append(blk[keep])
-    return (
-        np.concatenate(rows_out) if rows_out else np.empty(0, dtype=np.int64),
-        np.concatenate(cols_out) if cols_out else np.empty(0, dtype=np.int64),
-        np.concatenate(vals_out) if vals_out else np.empty(0),
-    )
+    blocks = acc.reshape(N + 1, B, 3, 3)[:N]
+    col_node = grid.active_nodes[:, None] + offs[None, :]          # (N, B)
+    inside = (col_node >= 0) & (col_node < grid.node_count)
+    col = np.full((N, B), -1, dtype=np.int64)
+    col[inside] = grid.active_map[col_node[inside]]
+    keep = col >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    K = sp.bsr_matrix((blocks[keep], col[keep], indptr), shape=(3 * N, 3 * N)).tocsc()
+    K.eliminate_zeros()
+    return K
 
 
 def assemble(pts, grid, dt: float, tangent: np.ndarray,
@@ -127,6 +136,8 @@ def assemble(pts, grid, dt: float, tangent: np.ndarray,
              sten=None) -> SystemMatrices:
     """Assemble and factorize the velocity system for one object.
 
+    K comes from one block-band sum (``_stiffness``) for every DOF count;
+    its memory grows with the number of active nodes, not with ndof^2.
     Expects the grid to be finalized with forces accumulated
     (node_force_int / node_force_ext) and ``tangent`` to hold each
     particle's dP/dF evaluated at its current elastic gradient.
@@ -135,12 +146,7 @@ def assemble(pts, grid, dt: float, tangent: np.ndarray,
         raise ValueError("assemble requires the precomputed kernel stencils")
     ndof = 3 * grid.active_count
     mass = np.repeat(grid.node_mass[grid.active_nodes], 3)
-
-    if 0 < ndof <= DENSE_DOF_LIMIT:
-        K = sp.csc_matrix(_stiffness_dense(pts, grid, tangent, sten))
-    else:
-        rows, cols, vals = _stiffness_triplets(pts, grid, tangent, sten)
-        K = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsc()
+    K = _stiffness(pts, grid, tangent, sten)
 
     coeff = rayleigh_beta * dt + dt * dt
     A = sp.diags(mass * (1.0 + dt * rayleigh_alpha)) + coeff * K
@@ -192,7 +198,3 @@ def free_velocity(sys: SystemMatrices, v_n: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     return v_n.ravel() + sys.solve(sys.b)
 
-
-def admittance_apply(sys: SystemMatrices, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs reusing the stored factorization."""
-    return sys.solve(rhs)

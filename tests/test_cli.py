@@ -71,12 +71,6 @@ def test_simulate_missing_scene(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_simulate_serial_flag_accepted(tiny_scene, tmp_path):
-    out = str(tmp_path / "serial")
-    assert main(["simulate", tiny_scene, "--frames", "1", "--out", out,
-                 "--serial"]) == 0
-
-
 def test_sweep_mu_writes_csv(tmp_path, capsys):
     angle = np.pi / 6
     R = rotation_x(-angle)

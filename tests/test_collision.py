@@ -41,9 +41,9 @@ def _rand_tet(rng, center=(0.0, 0.0, 0.0), scale=1.0):
             return v
 
 
-def _prim(verts, body, pid=0):
+def _prim(verts, body, pid=0, static=False):
     return DeformedPrimitive(vertices=np.asarray(verts, dtype=float),
-                             body_id=body, particle_id=pid)
+                             body_id=body, particle_id=pid, static=static)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,15 @@ def test_broadphase_same_body_excluded():
     a = _prim(UNIT_TET, 0, 0)
     b = _prim(UNIT_TET + 0.2, 0, 1)
     assert broadphase([a, b], cell_size=2.0) == []
+
+
+def test_broadphase_skips_pairs_of_static_primitives():
+    wall = _prim(UNIT_TET, 0, static=True)
+    floor = _prim(UNIT_TET + 0.2, 1, static=True)
+    cube = _prim(UNIT_TET + 0.1, 2)
+    assert broadphase([wall, floor], cell_size=2.0) == []
+    pairs = broadphase([wall, floor, cube], cell_size=2.0)
+    assert [(a.body_id, b.body_id) for a, b in pairs] == [(0, 2), (1, 2)]
 
 
 def test_broadphase_ordering_deterministic():

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from tetmpm import driver, solver
+from tetmpm import collision, driver, solver
 from tetmpm.constitutive import MaterialLaw, MaterialParams, Plasticity
 from tetmpm.driver import DIAGNOSTICS_HEADER, SNAPSHOT_HEADER, SimState, plane_frame, sweep_mu
 from tetmpm.errors import ConfigError
@@ -159,6 +159,23 @@ def test_momentum_follows_gravity_while_blocks_touch():
 
 # ---------------------------------------------------------------------------
 # run(): snapshots and diagnostics files
+
+
+def test_static_pairs_never_reach_narrowphase(monkeypatch):
+    # plastic-walls has three kinematic bodies that touch each other
+    state = SimState(preset("plastic-walls"))
+    kinematic = {b.body_id for b in state.bodies if b.kinematic}
+    seen = []
+    narrowphase = collision.narrowphase
+
+    def recording(pair, margin):
+        seen.append((pair[0].body_id, pair[1].body_id))
+        return narrowphase(pair, margin)
+
+    monkeypatch.setattr(collision, "narrowphase", recording)
+    driver.step(state)
+    assert seen
+    assert not any(a in kinematic and b in kinematic for a, b in seen)
 
 
 def test_run_writes_frames_and_diagnostics(tmp_path):

@@ -27,9 +27,14 @@ def _material(law=MaterialLaw.NEOHOOKEAN, E=5e4, nu=0.3, rho=1200.0):
     return MaterialParams(law=law, youngs_modulus=E, poisson_ratio=nu, density=rho)
 
 
-def _cloud(rng, n=40, deform=0.08, speed=0.5, spacing=0.1, density=1200.0):
+SMALL_DIMS = (11, 10, 12)
+LARGE_DIMS = (18, 17, 17)  # a dense cloud here has more than 3000 DOFs
+
+
+def _cloud(rng, n=40, deform=0.08, speed=0.5, spacing=0.1, density=1200.0,
+           dims=SMALL_DIMS):
     """Random particle cloud whose quadratic stencils stay interior."""
-    grid = Grid(spacing=spacing, origin=np.zeros(3), dims=(11, 10, 12))
+    grid = Grid(spacing=spacing, origin=np.zeros(3), dims=dims)
     lo = 2.6 * spacing
     hi = (np.array(grid.dims) - 3.6) * spacing
     x = lo + rng.random((n, 3)) * (hi - lo)
@@ -157,14 +162,18 @@ def test_rayleigh_stiffness_damping_scales_stiffness_term():
 # stiffness consistency against force differences
 
 
-@pytest.mark.parametrize("law", LAWS)
-def test_stiffness_matches_force_differences(law):
+@pytest.mark.parametrize("law, dims, n", [
+    *(pytest.param(law, SMALL_DIMS, 30, id=law.value) for law in LAWS),
+    pytest.param(MaterialLaw.NEOHOOKEAN, LARGE_DIMS, 300, id="neohookean-large"),
+])
+def test_stiffness_matches_force_differences(law, dims, n):
     """K·dv equals the directional derivative of the negative internal force
     under the velocity-driven deformation-gradient update."""
     rng = np.random.default_rng(hash(law) % 2**32)
-    pts, grid, sten, T, sys = _assembled(rng, law=law, deform=0.06, n=30)
+    pts, grid, sten, T, sys = _assembled(rng, law=law, deform=0.06, n=n, dims=dims)
     idx, _, gw = sten
     ndof = sys.dof_count
+    assert (ndof > 3000) == (dims == LARGE_DIMS)
 
     dv = rng.standard_normal(ndof)
     dv /= np.abs(dv).max()
@@ -194,15 +203,60 @@ def test_stiffness_matches_force_differences(law):
     assert np.abs(Kdv + fd).max() <= 1e-4 * scale
 
 
-def test_dense_and_triplet_stiffness_agree():
+def _reference_stiffness(pts, grid, T, sten):
+    """K summed particle by particle over stencil pairs, as sparse triplets."""
+    idx, _, _ = sten
+    ndof = 3 * grid.active_count
+    comp = np.arange(3)
+    rows, cols, vals = [], [], []
+    for p in range(len(idx)):
+        blk = implicit._particle_blocks(pts, grid, T, sten, p, p + 1)[0]  # (S, 3, S, 3)
+        dof = grid.active_map[idx[p]]
+        s, t = np.nonzero((dof[:, None] >= 0) & (dof[None, :] >= 0))  # active pairs
+        r = 3 * dof[s, None, None] + comp[None, :, None]
+        c = 3 * dof[t, None, None] + comp[None, None, :]
+        rows.append(np.broadcast_to(r, (len(s), 3, 3)).ravel())
+        cols.append(np.broadcast_to(c, (len(s), 3, 3)).ravel())
+        vals.append(blk[s, :, t, :].ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(ndof, ndof),
+    ).tocsc()
+
+
+def _kernel_cloud(rng, kernel, n, dims, **cloud_kw):
+    pts, grid = _cloud(rng, n=n, dims=dims, **cloud_kw)
+    _, T, _, _ = stress_batch(pts.F_elastic, _material(), with_tangent=True)
+    sten = stencil_batch(pts.x, kernel, grid)
+    transfers.p2g(pts, grid, kernel, TransferType.BASIC, sten)
+    return pts, grid, T, sten
+
+
+@pytest.mark.parametrize("kernel", list(KernelType), ids=lambda k: k.value)
+@pytest.mark.parametrize("dims, n", [(SMALL_DIMS, 25), (LARGE_DIMS, 300)],
+                         ids=["small", "large"])
+def test_stiffness_matches_per_particle_reference(kernel, dims, n):
     rng = np.random.default_rng(7)
-    pts, grid, sten, T, sys = _assembled(rng, deform=0.1, n=25)
-    ndof = sys.dof_count
-    dense = implicit._stiffness_dense(pts, grid, T, sten)
-    rows, cols, vals = implicit._stiffness_triplets(pts, grid, T, sten)
-    K2 = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).toarray()
-    scale = max(np.abs(dense).max(), 1e-30)
-    assert np.abs(dense - K2).max() <= 1e-12 * scale
+    pts, grid, T, sten = _kernel_cloud(rng, kernel, n, dims, deform=0.1)
+    grid.finalize(boundary_layers=3)  # clip some stencils at the grid's edge
+    ndof = 3 * grid.active_count
+    assert (ndof > 3000) == (dims == LARGE_DIMS)
+    K = implicit._stiffness(pts, grid, T, sten)
+    ref = _reference_stiffness(pts, grid, T, sten)
+    assert K.format == "csc" and K.shape == (ndof, ndof)
+    scale = np.abs(ref.data).max()
+    assert np.abs((K - ref).data).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_stiffness_without_active_nodes_is_empty():
+    rng = np.random.default_rng(8)
+    pts, grid, T, sten = _kernel_cloud(rng, KernelType.QUADRATIC, 10, SMALL_DIMS)
+    grid.finalize(boundary_layers=6)  # no node of the grid is interior
+    assert grid.active_count == 0
+    assert implicit._stiffness(pts, grid, T, sten).shape == (0, 0)
+    idx, w, gw = sten
+    empty = (idx[:0], w[:0], gw[:0])
+    assert implicit._stiffness(pts, grid, T[:0], empty).shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +301,7 @@ def test_free_velocity_free_fall_stress_free_body():
 def test_admittance_zero_rhs():
     rng = np.random.default_rng(11)
     _, _, _, _, sys = _assembled(rng)
-    out = implicit.admittance_apply(sys, np.zeros(sys.dof_count))
+    out = sys.solve(np.zeros(sys.dof_count))
     assert np.abs(out).max() == 0.0
 
 
@@ -258,7 +312,7 @@ def test_admittance_round_trip():
     _, _, _, _, sys = _assembled(rng, deform=0.12, n=200)
     x = rng.standard_normal(sys.dof_count)
     rhs = sys.A @ x
-    back = implicit.admittance_apply(sys, rhs)
+    back = sys.solve(rhs)
     assert np.abs(back - x).max() <= 1e-10 * np.abs(x).max()
     # backward error stays at roundoff regardless of conditioning
     res = sys.A @ back - rhs
@@ -269,8 +323,8 @@ def test_admittance_repeat_calls_bit_identical():
     rng = np.random.default_rng(13)
     _, _, _, _, sys = _assembled(rng)
     rhs = rng.standard_normal(sys.dof_count)
-    a = implicit.admittance_apply(sys, rhs)
-    b = implicit.admittance_apply(sys, rhs)
+    a = sys.solve(rhs)
+    b = sys.solve(rhs)
     assert np.array_equal(a, b)
 
 
